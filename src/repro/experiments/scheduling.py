@@ -20,7 +20,6 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Tuple
 
-from ..interp import Machine
 from ..ir import Program
 from ..replication import ReplicationPlanner, apply_replication
 from ..scheduling import estimate_program_cycles
@@ -31,15 +30,16 @@ from .report import Table
 
 def _profile_run(program: Program, args, input_values):
     """(block counts, edge counts) from one instrumented run."""
-    machine = Machine(program, input_values, count_edges=True)
-    machine.run(*args)
+    from ..interp.compiled import execute
+
+    edge_counts = execute(program, args, input_values, edges=True).edge_counts
     counts: Dict[Tuple[str, str], int] = {}
-    for (function, _source, target), count in machine.edge_counts.items():
+    for (function, _source, target), count in edge_counts.items():
         key = (function, target)
         counts[key] = counts.get(key, 0) + count
     for function in program:
         counts.setdefault((function.name, function.entry), 1)
-    return counts, machine.edge_counts
+    return counts, edge_counts
 
 
 def run(

@@ -10,10 +10,10 @@ through a direct-mapped cache.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from typing import Dict, Sequence, Tuple
 
-from ..interp import Machine
 from ..ir import Program
 from ..obs import OBS
 
@@ -76,6 +76,32 @@ class InstructionCache:
                 tags[index] = line_address
                 self.misses += 1
 
+    def touch_blocks(
+        self, stream: Sequence[int], ranges: Sequence[Tuple[int, int]]
+    ) -> None:
+        """:meth:`touch_range` of ``ranges[block]`` for every *block* id
+        in *stream*, in order — the same accesses and misses, computed
+        from each block's line list."""
+        line_words = self.config.line_words
+        lines = self.config.lines
+        touches = {}
+        for block, count in Counter(stream).items():
+            start, end = ranges[block]
+            first = start // line_words
+            last = (end - 1) // line_words if end > start else first - 1
+            touches[block] = tuple(
+                (address % lines, address) for address in range(first, last + 1)
+            )
+            self.accesses += count * len(touches[block])
+        tags = self._tags
+        misses = 0
+        for block in stream:
+            for index, address in touches[block]:
+                if tags[index] != address:
+                    tags[index] = address
+                    misses += 1
+        self.misses += misses
+
     @property
     def miss_rate(self) -> float:
         return self.misses / self.accesses if self.accesses else 0.0
@@ -108,21 +134,18 @@ def simulate_icache(
     max_steps: int = 100_000_000,
 ) -> CacheResult:
     """Run *program* and simulate its instruction fetch stream."""
+    from ..interp.compiled import execute
+
     addresses = assign_addresses(program)
     cache = InstructionCache(config)
-    touch = cache.touch_range
-
-    def on_block(function_name: str, label: str) -> None:
-        start, end = addresses[(function_name, label)]
-        touch(start, end)
-
     # The per-touch path stays uninstrumented; totals are reported once
     # after the run from the cache's own counters.
     with OBS.span(
         "icache.simulate", lines=config.lines, line_words=config.line_words
     ) as span:
-        machine = Machine(program, input_values, max_steps, on_block=on_block)
-        machine.run(*args)
+        execution = execute(program, args, input_values, max_steps, blocks=True)
+        ranges = [addresses.get(key) for key in execution.block_keys]
+        cache.touch_blocks(execution.block_stream, ranges)
         span.set(accesses=cache.accesses, misses=cache.misses)
     OBS.add("icache.simulations")
     OBS.add("icache.accesses", cache.accesses)

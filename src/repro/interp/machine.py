@@ -367,6 +367,18 @@ def run_program(
     max_steps: int = 50_000_000,
     on_branch: Optional[Callable[[BranchSite, bool], None]] = None,
 ) -> RunResult:
-    """One-shot convenience wrapper around :class:`Machine`."""
-    machine = Machine(program, input_values, max_steps, on_branch)
-    return machine.run(*args)
+    """Run *program* once on the compiled engine
+    (:mod:`repro.interp.compiled`), with :class:`Machine`'s results.
+
+    *on_branch*, when given, receives every ``(site, taken)`` branch
+    event in execution order once the run has finished (or trapped).
+    """
+    from .compiled import Execution
+
+    execution = Execution(program, input_values, max_steps)
+    try:
+        return execution.run(*args)
+    finally:
+        if on_branch is not None:
+            for site, taken in execution.events():
+                on_branch(site, taken)

@@ -13,7 +13,6 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Sequence, Tuple
 
 from ..cfg import CFG
-from ..interp import Machine
 from ..ir import Jump, Program
 from ..profiling import Trace
 
@@ -62,10 +61,11 @@ def profile_edges(
     max_steps: int = 100_000_000,
 ) -> Dict[str, EdgeProfile]:
     """Exact per-function edge frequencies from an instrumented run."""
-    machine = Machine(program, input_values, max_steps, count_edges=True)
-    machine.run(*args)
+    from ..interp.compiled import execute
+
+    execution = execute(program, args, input_values, max_steps, edges=True)
     profiles = {function.name: EdgeProfile(function.name) for function in program}
-    for (function_name, source, target), count in machine.edge_counts.items():
+    for (function_name, source, target), count in execution.edge_counts.items():
         profiles[function_name].add(source, target, count)
     return profiles
 

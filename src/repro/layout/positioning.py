@@ -22,7 +22,6 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..cfg import CFG
-from ..interp import Machine
 from ..ir import Function, IRError, Program
 from .edges import EdgeProfile
 
@@ -154,8 +153,9 @@ def taken_transfer_stats(
 ) -> TransferStats:
     """Count executed intra-function control transfers that do not fall
     through under the current block layout."""
-    machine = Machine(program, input_values, max_steps, count_edges=True)
-    result = machine.run(*args)
+    from ..interp.compiled import execute
+
+    execution = execute(program, args, input_values, max_steps, edges=True)
     next_block: Dict[Tuple[str, str], Optional[str]] = {}
     for function in program:
         labels = list(function.blocks)
@@ -164,11 +164,11 @@ def taken_transfer_stats(
             next_block[(function.name, label)] = following
     total = 0
     taken = 0
-    for (function_name, source, target), count in machine.edge_counts.items():
+    for (function_name, source, target), count in execution.edge_counts.items():
         total += count
         if next_block.get((function_name, source)) != target:
             taken += count
-    return TransferStats(taken, total, result.steps)
+    return TransferStats(taken, total, execution.result.steps)
 
 
 def taken_transfer_rate(

@@ -72,6 +72,18 @@ def unpack_bits(packed: bytes, count: int) -> bytearray:
     return out
 
 
+_ASCII_BITS = bytes(48 + (byte & 1) for byte in range(256))
+
+
+def pack_bits(bits: bytes) -> bytes:
+    """Pack one-byte-per-bit values (bit 0 of each byte) LSB-first into
+    ``ceil(n / 8)`` bytes — the inverse of :func:`unpack_bits`."""
+    if not bits:
+        return b""
+    value = int(bits.translate(_ASCII_BITS)[::-1], 2)
+    return value.to_bytes((len(bits) + 7) // 8, "little")
+
+
 class TraceColumns:
     """Columnar snapshot of one trace (see the module docstring).
 

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Sequence, Tuple
 
-from ..interp import Machine, RunResult
+from ..interp import RunResult
 from ..ir import BranchSite, Program
 from .patterns import PatternTable, ProfileData
 
@@ -69,11 +69,17 @@ def profile_program(
 ) -> Tuple[ProfileData, RunResult]:
     """One-pass profiling: run the program, return the profile.
 
-    Unlike ``trace_program`` + ``ProfileData.from_trace`` this never
-    materialises the trace, so arbitrarily long runs profile in
-    constant memory.
+    Unlike ``trace_program`` + ``ProfileData.from_trace`` this builds
+    no :class:`Trace`: the events of the run's code column (4 bytes
+    each) are folded into the tables one at a time.  A producer that
+    feeds :class:`OnlineProfiler` as it goes profiles in memory bounded
+    by the tables alone.
     """
+    from ..interp.compiled import execute
+
+    execution = execute(program, args, input_values, max_steps)
     profiler = OnlineProfiler(local_bits, global_bits)
-    machine = Machine(program, input_values, max_steps, profiler.record)
-    result = machine.run(*args)
-    return profiler.finish(), result
+    record = profiler.record
+    for site, taken in execution.events():
+        record(site, taken)
+    return profiler.finish(), execution.result

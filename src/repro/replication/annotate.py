@@ -14,7 +14,6 @@ import dataclasses
 from dataclasses import dataclass
 from typing import Dict, Sequence
 
-from ..interp import Machine
 from ..ir import BranchSite, Program
 from ..profiling import ProfileData
 
@@ -75,6 +74,8 @@ def measure_annotated(
 
     Unannotated branches are scored with *default*.
     """
+    from ..interp.compiled import execute
+
     predictions: Dict[BranchSite, bool] = {}
     for function in program:
         for block in function:
@@ -84,23 +85,14 @@ def measure_annotated(
             site = BranchSite(function.name, block.label)
             predictions[site] = branch.predict if branch.predict is not None else default
 
-    counters: Dict[BranchSite, list] = {}
-    state = {"events": 0, "wrong": 0}
-
-    def on_branch(site: BranchSite, taken: bool) -> None:
-        state["events"] += 1
-        cell = counters.get(site)
-        if cell is None:
-            cell = counters[site] = [0, 0]
-        cell[0] += 1
-        if predictions[site] is not taken:
-            state["wrong"] += 1
-            cell[1] += 1
-
-    machine = Machine(program, input_values, max_steps, on_branch)
-    machine.run(*args)
-    return AnnotatedMeasurement(
-        state["events"],
-        state["wrong"],
-        {site: (cell[0], cell[1]) for site, cell in counters.items()},
-    )
+    execution = execute(program, args, input_values, max_steps)
+    events = wrong = 0
+    per_site: Dict[BranchSite, tuple] = {}
+    for site, (not_taken, taken) in execution.site_outcomes().items():
+        predict = predictions[site]
+        # An event is missed when the prediction *is not* its outcome.
+        missed = (predict is not True) * taken + (predict is not False) * not_taken
+        events += not_taken + taken
+        wrong += missed
+        per_site[site] = (not_taken + taken, missed)
+    return AnnotatedMeasurement(events, wrong, per_site)

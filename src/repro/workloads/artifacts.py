@@ -167,33 +167,22 @@ def _collect(
     name: str, scale: int, seed_offset: int, history_bits: int
 ) -> RunArtifacts:
     """Run the workload once, collecting trace, path tables and steps."""
-    from ..interp import Machine
+    from ..interp.compiled import execute
+    from ..profiling.collect import execution_path_tables, execution_trace
     from .benchmarks import get_program, get_workload
 
     workload = get_workload(name)
     args, input_values = workload.seeded_args(scale, seed_offset)
-    trace = Trace()
-    tables: Dict[BranchSite, PatternTable] = {}
-
-    def record(site: BranchSite, taken: bool) -> None:
-        trace.record(site, taken)
-        table = tables.get(site)
-        if table is None:
-            table = tables[site] = PatternTable(history_bits)
-        table.add(machine.path_history, 1 if taken else 0)
-
-    machine = Machine(
-        get_program(name),
-        input_values,
-        MAX_STEPS,
-        record,
-        track_history_bits=history_bits,
-    )
     started = time.perf_counter()
     with OBS.span(
         "workload.run", benchmark=name, scale=scale, seed_offset=seed_offset
     ) as span:
-        result = machine.run(*args)
+        execution = execute(
+            get_program(name), args, input_values, MAX_STEPS, history_bits=history_bits
+        )
+        result = execution.result
+        trace = execution_trace(execution)
+        tables = execution_path_tables(execution)
         span.set(steps=result.steps, events=len(trace))
     elapsed = time.perf_counter() - started
     OBS.add("artifacts.interpreter.runs")
